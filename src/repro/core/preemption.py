@@ -29,17 +29,22 @@ Only running tasks whose allowable waiting time exceeds the epoch length
 are *preemptable* — evicting anything tighter would make it miss its own
 deadline (§IV-B).
 
-Priorities come from Eq. 12–13.  When the engine exposes its incremental
-:class:`~repro.sim.sched_core.PriorityIndex` (``SimConfig.sched_index``,
-on by default) and that index scores with the same parameters as this
-policy's config, scores are read from it — the index memoizes across
-nodes and epochs and only re-walks invalidated ancestor chains.
-Otherwise (index disabled, or a policy configured with different
-weights than the engine) the policy falls back to its own stateless
+Priorities come from Eq. 12–13, read from the engine's scoring seam
+when it scores with the same parameters as this policy's config.  The
+default seam is the struct-of-arrays
+:class:`~repro.sim.arraycore.ArrayCore` (``SimConfig.array_core``, on by
+default): adopting it lets the epoch scan run Algorithm 1 straight off
+its columns (:meth:`DSPPreemption.select_preemptions_from_core`), with
+one batched signal-and-score gather per generation for every contended
+node.  With the array core off, the incremental
+:class:`~repro.sim.sched_core.PriorityIndex` (``SimConfig.sched_index``)
+serves the scores of each snapshot instead.  Otherwise (both seams off,
+or a policy configured with different weights than the engine) the
+policy falls back to its own stateless
 :class:`~repro.core.priority.PriorityEvaluator`, evaluated lazily over
 the descendant subgraphs of the tasks in the snapshot with live signals
-from the engine's :class:`~repro.sim.engine.SimContext`.  Both paths
-produce bit-identical scores (asserted by ``tests/test_sched_core.py``).
+from the engine's :class:`~repro.sim.engine.SimContext`.  Every path
+produces bit-identical scores (asserted by ``tests/test_sched_core.py``).
 """
 
 from __future__ import annotations
@@ -81,6 +86,18 @@ class DSPPreemption(PreemptionPolicy):
         self._index = None
         self._core = None
         self._ctx = None
+        self._reset_scan()
+
+    def _reset_scan(self) -> None:
+        """Drop the batched victim-scan gather (see
+        :meth:`select_preemptions_from_core`)."""
+        # (now, mirror version) the gather is valid for; node id ->
+        # (start offset, running count, end offset) into the gathered
+        # lists; the lists themselves (ids, overdue, allowable, runnable,
+        # preemptable, scores).
+        self._scan_key: tuple[float, int] | None = None
+        self._scan_spans: dict[str, tuple[int, int, int]] = {}
+        self._scan_cols: tuple[list, ...] = ()
 
     # -- engine handshake ---------------------------------------------------
     def attach(self, ctx) -> None:
@@ -101,6 +118,7 @@ class DSPPreemption(PreemptionPolicy):
             index if index is not None and index.scores_like(self._config) else None
         )
         self._core = self._index if isinstance(self._index, ArrayCore) else None
+        self._reset_scan()
 
     # -- decision logic -------------------------------------------------------
     def _priorities(self, view: NodeView) -> dict[str, float]:
@@ -207,12 +225,21 @@ class DSPPreemption(PreemptionPolicy):
 
         Behaviourally identical to :meth:`select_preemptions` over a
         freshly built :class:`~repro.sim.policy.NodeView` — same visit
-        order (the view cache's ``node_order``), same signals (one
-        ``view_signals`` pass), same score generation — but skips
-        materializing ``TaskView`` objects entirely, which dominates the
-        snapshot path's epoch cost.  The byte-identical ``array_core``
-        on/off parity test in ``tests/test_sched_core.py`` holds the two
-        paths together.
+        order (the view cache's ``node_order``), same signals, same score
+        generation — but skips materializing ``TaskView`` objects
+        entirely, which dominates the snapshot path's epoch cost.  The
+        byte-identical ``array_core`` on/off parity test in
+        ``tests/test_sched_core.py`` holds the two paths together.
+
+        The signals and scores are gathered once per (instant, mirror
+        version) generation for this node and every contended node the
+        executor has yet to visit this epoch (:meth:`_gather`); each node
+        then runs Algorithm 1 over its own slice.  The gather stays valid
+        while the version does: a decision the executor rejects mutates
+        nothing, and an applied one bumps the version, so the next node
+        re-gathers for the nodes still ahead.  Scores are cluster-global
+        (Eq. 12 sums descendants across nodes), so this re-gather is what
+        keeps the batch exact.
 
         Returns ``None`` when this policy has not adopted the engine's
         array core (different scoring parameters, or the engine runs the
@@ -222,23 +249,27 @@ class DSPPreemption(PreemptionPolicy):
         core = self._core
         if core is None:
             return None
-        ordered, queued = runtime.views.node_order(node)
-        if not queued or not ordered:
-            return ()
         now = runtime.now
-        ids = ordered + queued
-        rows = core.rows_of(ids)
-        overdue, allowable, runnable, preemptable = core.scan_signals(
-            rows, now, node.rate, runtime.max_preemptions
-        )
-        scores = core.scores_at(rows, now)
-        n_run = len(ordered)
+        span = self._scan_spans.get(node.node_id)
+        if span is None or self._scan_key != (now, core.version):
+            self._gather(runtime, node)
+            span = self._scan_spans[node.node_id]
+        lo, n_run, hi = span
+        if n_run == 0 or hi == lo + n_run:
+            return ()
+        ids, overdue, allowable, runnable, preemptable, scores = self._scan_cols
+        ids = ids[lo:hi]
+        overdue = overdue[lo:hi]
+        allowable = allowable[lo:hi]
+        runnable = runnable[lo:hi]
+        preemptable = preemptable[lo:hi]
+        scores = scores[lo:hi]
         epoch = runtime.sim_config.epoch
 
         # Preemptable running tasks, ascending (score, id) — the same
         # order preemptable_victims() yields on the snapshot path.
         available = sorted(
-            (scores[i], ordered[i])
+            (scores[i], ids[i])
             for i in range(n_run)
             if preemptable[i] and allowable[i] > epoch
         )
@@ -287,8 +318,9 @@ class DSPPreemption(PreemptionPolicy):
             if allowable[i] <= epsilon or overdue[i] >= tau:
                 take_victim(wid, scores[i], require_c1=False, require_pp=False)
 
-        head = max(1, math.ceil(self._config.delta * len(queued)))
-        for i in range(n_run, n_run + min(head, len(queued))):
+        n_wait = len(ids) - n_run
+        head = max(1, math.ceil(self._config.delta * n_wait))
+        for i in range(n_run, n_run + min(head, n_wait)):
             if not available:
                 break
             wid = ids[i]
@@ -298,6 +330,31 @@ class DSPPreemption(PreemptionPolicy):
                 wid, scores[i], require_c1=True, require_pp=self._config.use_pp
             )
         return decisions
+
+    def _gather(self, runtime, node) -> None:
+        """One batched scan gather for *node* and the contended nodes the
+        executor visits after it: each node's ids in snapshot order
+        (``node_order``), then one ``scan_signals`` call with a per-row
+        rate vector and one ``scores_at`` call over all of their rows."""
+        core = self._core
+        now = runtime.now
+        views = runtime.views
+        ids: list[str] = []
+        rates: list[float] = []
+        spans: dict[str, tuple[int, int, int]] = {}
+        for visit in runtime.preemption.visit_tail(node):
+            ordered, queued = views.node_order(visit)
+            lo = len(ids)
+            ids += ordered
+            ids += queued
+            spans[visit.node_id] = (lo, len(ordered), len(ids))
+            rates += [visit.rate] * (len(ids) - lo)
+        rows = core.rows_of(ids)
+        signals = core.scan_signals(rows, now, rates, runtime.max_preemptions)
+        scores = core.scores_at(rows, now)
+        self._scan_key = (now, core.version)
+        self._scan_spans = spans
+        self._scan_cols = (ids, *signals, scores)
 
     def _pp_allows(self, gap: float, mean_gap: float) -> bool:
         """Normalized-priority check: gap / mean-neighbour-gap > ρ.

@@ -10,9 +10,10 @@ loops against it:
 * **priority scoring** — Eq. 12–13 evaluated for the whole live task set
   in one vectorized pass per (clock, version) generation, replacing the
   per-task memo walk of :class:`~repro.sim.sched_core.PriorityIndex`;
-* **victim/eligibility scans** — the dispatcher's queue scan and the
-  stall-timeout sweep become boolean masks over the columns instead of
-  Python loops over runtime objects;
+* **victim/eligibility scans** — the epoch preemption scan gathers its
+  signals for every contended node in one call per generation, and the
+  dispatcher's queue scan and the stall-timeout sweep become boolean
+  masks over the columns instead of Python loops over runtime objects;
 * **view assembly** — :class:`~repro.sim.views.ViewCache` computes every
   ``TaskView`` signal for a node in one vectorized shot.
 
@@ -205,6 +206,7 @@ class ArrayCore:
         self.invalidations = 0
         self.clears = 0
         self.passes = 0  # vectorized scoring passes
+        self.scan_gathers = 0  # batched victim-scan gathers
 
         for job in runtime.state.jobs.values():
             self.register_job(job)
@@ -278,6 +280,7 @@ class ArrayCore:
             "invalidations": self.invalidations,
             "clears": self.clears,
             "passes": self.passes,
+            "scan_gathers": self.scan_gathers,
             "hit_rate": self.hits / total if total else 0.0,
         }
 
@@ -462,6 +465,12 @@ class ArrayCore:
         self._node_rate = np.zeros(len(self._node_list))
         self._node_free = []
         self._version += 1
+
+    @property
+    def version(self) -> int:
+        """Mirror version: bumped on every change to the mirror, so it
+        keys score and scan caches together with the instant."""
+        return self._version
 
     # ------------------------------------------------------------- scoring
     def _ensure_scores(self, now: float) -> bool:
@@ -655,7 +664,11 @@ class ArrayCore:
         the object-path sweep visits them: node insertion order, then
         sorted task id.  Callers re-verify each against live state before
         suspending (handlers of an earlier eviction may have moved a
-        later candidate)."""
+        later candidate).
+
+        Node insertion order is ``state.nodes`` order, not column
+        position: once elastic membership reuses a freed position the two
+        diverge (see :meth:`_rates`)."""
         n = self._ids.capacity
         ss = self._stall_start[:n]
         with np.errstate(invalid="ignore"):
@@ -668,18 +681,23 @@ class ArrayCore:
         if not len(rows):
             return []
         id_of = self._id_of
+        node_pos = self._node_pos
+        rank = {
+            node_pos[nid]: i for i, nid in enumerate(self._rt.state.nodes)
+        }
         nd = self._node[rows].tolist()
         ordered = sorted(
-            (nd[i], id_of[r]) for i, r in enumerate(rows.tolist())
+            (rank[nd[i]], id_of[r]) for i, r in enumerate(rows.tolist())
         )
         return [tid for _, tid in ordered]
 
     def _remaining_at(
-        self, idx: np.ndarray, state: np.ndarray, now: float, rate: float
+        self, idx: np.ndarray, state: np.ndarray, now: float, rate
     ) -> np.ndarray:
         """Per-row ``TaskRuntime.remaining_time_at`` for a gathered row
         subset (same ops and order as the full-array :meth:`_remaining`,
-        with the node's scalar rate)."""
+        with one node's scalar rate or a per-row rate array — elementwise
+        ops round identically either way)."""
         size = self._size.take(idx)
         work = self._work.take(idx)
         run_start = self._run_start.take(idx)
@@ -698,16 +716,23 @@ class ArrayCore:
         self,
         rows: list[int],
         now: float,
-        rate: float,
+        rates: list[float],
         max_preemptions: int,
     ) -> tuple[list, ...]:
         """The victim-scan subset of :meth:`view_signals` — (overdue,
         allowable, is_runnable, is_preemptable) only, identical float ops
         — for policies that run Algorithm 1 straight off the columns and
-        never touch the waiting/stint signals."""
+        never touch the waiting/stint signals.
+
+        One call is one batched gather: *rows* may span several nodes,
+        with ``rates[i]`` the processing rate of the node holding
+        ``rows[i]``."""
+        self.scan_gathers += 1
         idx = np.asarray(rows, dtype=np.intp)
         state = self._state.take(idx)
-        remaining = self._remaining_at(idx, state, now, rate)
+        remaining = self._remaining_at(
+            idx, state, now, np.asarray(rates, dtype=np.float64)
+        )
         qs = self._queued_since.take(idx)
         queued = ~np.isnan(qs)
         baseline = np.maximum(qs, self._planned.take(idx))

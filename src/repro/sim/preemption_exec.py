@@ -3,8 +3,11 @@ suspend/resume and recovery-cost charging.
 
 Policies *decide*; this module *applies*.  Every epoch tick (§IV-B) it
 kicks timed-out stalls (the §IV-A deadlock breaker), lets epoch-driven
-subscribers act (the bus ``EpochTick``), snapshots each contended node
-through the :class:`~repro.sim.views.ViewCache` and validates the
+subscribers act (the bus ``EpochTick``), visits each contended node in
+node-id order — handing array-adopted policies the rest of that visit
+list (:meth:`PreemptionExecutor.visit_tail`) so they can gather for
+every node at once, and snapshotting the node through the
+:class:`~repro.sim.views.ViewCache` for the others — and validates the
 policy's (preempting, victim) pairs against live state before applying
 them — so policies may be optimistic.  It also owns the engine's two
 safety rails: the per-task preemption cap (starvation guard) and the
@@ -37,6 +40,10 @@ class PreemptionExecutor:
 
     def __init__(self, runtime: SimRuntime) -> None:
         self._rt = runtime
+        # The running epoch's visit order (node ids) and the position of
+        # the node being scanned; empty outside the preemption loop.
+        self._visit: list[str] = []
+        self._cursor = 0
 
     # ------------------------------------------------------------ epoch tick
     def on_epoch(self, _payload: object = None) -> None:
@@ -53,25 +60,40 @@ class PreemptionExecutor:
             # directly, skipping snapshot materialization; a None return
             # means "not adopted" and falls back to the view protocol.
             scan = getattr(rt.policy, "select_preemptions_from_core", None)
-            for node_id in sorted(state.nodes):
+            self._visit = sorted(state.nodes)
+            for cursor, node_id in enumerate(self._visit):
                 node = state.nodes[node_id]
-                if not node.available or node.queue_length == 0:
-                    continue  # unreachable or nothing waiting => nothing to do
-                if not node.running:
-                    # No occupant => no valid victim: apply() would reject
-                    # every pair, so skip the snapshot entirely (free
-                    # capacity is the dispatcher's job below).
+                if not _contended(node):
                     continue
+                self._cursor = cursor
                 decisions = scan(rt, node) if scan is not None else None
                 if decisions is None:
                     view = rt.views.build(node, rt.now)
                     decisions = rt.policy.select_preemptions(view)
                 for decision in decisions:
                     self.apply(decision, node)
+            self._visit = []
         for node in state.nodes.values():
             rt.dispatch.dispatch(node)
         self._check_progress()
         self.ensure_tick()
+
+    def visit_tail(self, node: NodeRuntime) -> list[NodeRuntime]:
+        """*node* followed by the contended nodes this epoch's scan has
+        yet to visit, in visit order, judged against the state as it is
+        now.  A policy may gather for all of them at once; the executor
+        still calls it once per node, and any mutation in between (an
+        applied decision) is the policy's cue to gather again.  Outside
+        the epoch loop the tail is *node* alone."""
+        if not self._visit or self._visit[self._cursor] != node.node_id:
+            return [node]
+        nodes = self._rt.state.nodes
+        tail = [node]
+        for node_id in self._visit[self._cursor + 1:]:
+            later = nodes[node_id]
+            if _contended(later):
+                tail.append(later)
+        return tail
 
     def ensure_tick(self) -> None:
         """Arm the next epoch tick unless one is already pending."""
@@ -83,31 +105,36 @@ class PreemptionExecutor:
             rt.state.epoch_scheduled = True
 
     # ------------------------------------------------------------ preemption
-    def apply(self, decision: PreemptionDecision, node: NodeRuntime) -> None:
-        """Validate and apply one (preempting, victim) pair on *node*."""
+    def apply(self, decision: PreemptionDecision, node: NodeRuntime) -> bool:
+        """Validate and apply one (preempting, victim) pair on *node*.
+
+        Returns whether it was applied.  A rejected pair mutates nothing
+        — the invariant that lets a policy's batched scan gather outlive
+        rejected decisions."""
         rt = self._rt
         state = rt.state
         pre = state.tasks.get(decision.preempting_task_id)
         vic = state.tasks.get(decision.victim_task_id)
         if pre is None or vic is None:
-            return
+            return False
         if pre.state is not TaskState.QUEUED or pre.node_id != node.node_id:
-            return
+            return False
         if rt.now + EPS < pre.retry_not_before:
-            return  # retry still serving its backoff
+            return False  # retry still serving its backoff
         if any(gate(node.node_id) for gate in state.dispatch_gates):
-            return  # gated nodes (e.g. quarantined) receive no new dispatches
+            return False  # gated nodes (e.g. quarantined) receive no new dispatches
         if not vic.occupies_resources or vic.node_id != node.node_id:
-            return
+            return False
         if vic.preempt_count >= rt.max_preemptions:
-            return
+            return False
         if not pre.is_runnable and (rt.dependency_aware or pre.stall_banned):
-            return  # would only stall; aware policies never ask for this
+            return False  # would only stall; aware policies never ask for this
         freed = node.free + vic.task.demand
         if not pre.task.demand.fits_within(freed):
-            return
+            return False
         self.suspend(vic, node, by=pre.task.task_id)
         rt.dispatch.start_task(pre, node)
+        return True
 
     def suspend(
         self,
@@ -242,3 +269,11 @@ class PreemptionExecutor:
                 f"running ({rt.kernel.position()}; nodes: {alive} alive, "
                 f"{draining} draining, {total} total)"
             )
+
+
+def _contended(node: NodeRuntime) -> bool:
+    """Whether the epoch scan visits *node*: reachable, with work
+    waiting and an occupant to evict.  An empty node has no valid victim
+    — apply() would reject every pair — so it is skipped (free capacity
+    is the dispatcher's job)."""
+    return node.available and node.queue_length > 0 and bool(node.running)

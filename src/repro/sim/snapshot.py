@@ -241,6 +241,7 @@ def snapshot_engine(engine: "SimEngine") -> dict:
                 "misses": rt.sched.misses,
                 "invalidations": rt.sched.invalidations,
                 "clears": rt.sched.clears,
+                "scan_gathers": getattr(rt.sched, "scan_gathers", 0),
             }
             if rt.sched is not None
             else None
@@ -396,6 +397,9 @@ def restore_into(engine: "SimEngine", data: dict) -> None:
         rt.sched.misses = counters["misses"]
         rt.sched.invalidations = counters["invalidations"]
         rt.sched.clears = counters["clears"]
+        if rt.array is not None:
+            # Absent from snapshots that predate the counter.
+            rt.array.scan_gathers = counters.get("scan_gathers", 0)
 
     engine._restored = True
 
