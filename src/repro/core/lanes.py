@@ -11,6 +11,13 @@ sized from the workload's demand statistics:
   lanes for its duration, so heavyweight tasks consume proportionally more
   planned capacity (a scalarized multi-resource packing).
 
+Each node's lanes are kept as an ascending list of the times they come
+free, so the *k*-th free lane is the index ``k - 1`` rather than a heap
+scan; committing deletes the *k* soonest-free lanes and inserts *k*
+copies of the finish time in place.  Only the sorted multiset of those
+times is observable, and it is also the snapshot form: a snapshot is the
+live lists, copied.
+
 Timelines persist across planning batches (one engine run = one planner
 instance), so later scheduling rounds see the backlog of earlier ones and
 planned start times stay honest — which the online phase's "overdue"
@@ -19,8 +26,8 @@ starvation test (Algorithm 1's τ) depends on.
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from ..cluster.cluster import Cluster
@@ -77,8 +84,6 @@ class LaneTimelines:
     def _init_free(self, lanes: dict[str, int]) -> None:
         self.lanes = dict(lanes)
         self._free = {nid: [0.0] * count for nid, count in lanes.items()}
-        for h in self._free.values():
-            heapq.heapify(h)
 
     def reset(self) -> None:
         """Drop all planned occupancy (and lazy sizing, when applicable)."""
@@ -89,32 +94,28 @@ class LaneTimelines:
 
     # ------------------------------------------------------- snapshot state
     def snapshot_state(self) -> dict:
-        """Serializable planned-occupancy state (run snapshot protocol).
-
-        Lanes are heaps, but only their *value multiset* is observable
-        (``nsmallest`` / pop-k-push-k), so the sorted list is a canonical
-        form that restores to identical planning decisions.
-        """
+        """Serializable planned-occupancy state (run snapshot protocol):
+        the sorted lane lists as they are."""
         return {
             "fixed": dict(self._fixed) if self._fixed is not None else None,
             "lanes": dict(self.lanes) if self._free is not None else None,
             "free": (
-                {nid: sorted(h) for nid, h in self._free.items()}
+                {nid: list(lanes) for nid, lanes in self._free.items()}
                 if self._free is not None
                 else None
             ),
         }
 
     def restore_state(self, data: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
+        """Inverse of :meth:`snapshot_state`.  Lane lists are sorted on
+        the way in, so any ordering of the same multiset (a heap's, say)
+        restores the same planner."""
         self._fixed = dict(data["fixed"]) if data["fixed"] is not None else None
         if data["free"] is None:
             self._free = None
         else:
             self.lanes = dict(data["lanes"])
-            self._free = {nid: list(vals) for nid, vals in data["free"].items()}
-            for h in self._free.values():
-                heapq.heapify(h)
+            self._free = {nid: sorted(vals) for nid, vals in data["free"].items()}
 
     def ensure_sized(self, jobs: Sequence[Job]) -> None:
         """Size the lanes from *jobs* if not already sized."""
@@ -133,17 +134,16 @@ class LaneTimelines:
         """Earliest time *k* lanes of *node_id* are simultaneously free, at
         or after *ready*."""
         assert self._free is not None, "call ensure_sized() first"
-        kth = heapq.nsmallest(k, self._free[node_id])[-1]
-        return max(kth, ready)
+        return max(self._free[node_id][k - 1], ready)
 
     def commit(self, node_id: str, k: int, end: float) -> None:
-        """Occupy *k* lanes of *node_id* until *end*."""
+        """Occupy *k* lanes of *node_id* until *end*: the *k* soonest-free
+        lanes become free at *end*."""
         assert self._free is not None, "call ensure_sized() first"
-        h = self._free[node_id]
-        for _ in range(k):
-            heapq.heappop(h)
-        for _ in range(k):
-            heapq.heappush(h, end)
+        lanes = self._free[node_id]
+        del lanes[:k]
+        at = bisect_right(lanes, end)
+        lanes[at:at] = [end] * k
 
     def place_eft(
         self,

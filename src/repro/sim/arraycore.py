@@ -4,7 +4,7 @@ The object model (:class:`~repro.sim.executor.TaskRuntime` /
 :class:`~repro.sim.executor.NodeRuntime`) stays the authoritative API
 surface — subsystems mutate it exactly as before.  This module maintains
 a *mirror* of the hot-path signals in dense numpy columns, keyed by a
-dense integer row id per task, and rewrites the three per-epoch inner
+dense integer row id per task, and rewrites the four per-epoch inner
 loops against it:
 
 * **priority scoring** — Eq. 12–13 evaluated for the whole live task set
@@ -12,8 +12,13 @@ loops against it:
   per-task memo walk of :class:`~repro.sim.sched_core.PriorityIndex`;
 * **victim/eligibility scans** — the epoch preemption scan gathers its
   signals for every contended node in one call per generation, and the
-  dispatcher's queue scan and the stall-timeout sweep become boolean
-  masks over the columns instead of Python loops over runtime objects;
+  stall-timeout sweep is a boolean mask over the columns instead of a
+  Python loop over runtime objects;
+* **task-to-node matching** — the dispatcher's queue scan is a mask of
+  state checks plus a fit filter of a static demand matrix against free
+  capacity: one mask for every node per all-node dispatch sweep
+  (:meth:`ArrayCore.sweep_candidates`), or one node's own for a
+  single-node wake (:meth:`ArrayCore.dispatch_candidates`);
 * **view assembly** — :class:`~repro.sim.views.ViewCache` computes every
   ``TaskView`` signal for a node in one vectorized shot.
 
@@ -91,6 +96,8 @@ _STALLED = _STATE_CODE[TaskState.STALLED]
 _COMPLETED = _STATE_CODE[TaskState.COMPLETED]
 
 _NAN = float("nan")
+_FIT_TOL = 1e-9  # ResourceVector.fits_within's default tolerance
+_NO_NODE = (-np.inf,) * 4
 
 
 class DenseIds:
@@ -171,6 +178,9 @@ class ArrayCore:
         self._live_deps = np.zeros(cap, dtype=np.int32)
         self._preempt_count = np.zeros(cap, dtype=np.int32)
         self._banned = np.zeros(cap, dtype=bool)
+        # Static (cpu, mem, disk, bandwidth) demand per row — the left
+        # side of the dispatcher's fit mask.
+        self._demand = np.zeros((cap, 4))
 
         # Static DAG structure, by row: children in the evaluator's
         # insertion order, and static height (max distance to a sink).
@@ -191,7 +201,7 @@ class ArrayCore:
             runtime.state.nodes.values()
         )
         self._node_rate = np.zeros(len(self._node_list))
-        self._node_free: list[int] = []
+        self._free_positions: list[int] = []
 
         # Score cache, valid for one (clock, version) generation.
         self._scores: np.ndarray | None = None
@@ -238,6 +248,9 @@ class ArrayCore:
                 self._id_of.append(tid)
             else:
                 self._id_of[row] = tid
+        self._demand[list(rows.values())] = [
+            task.demand.as_tuple() for task in job.tasks.values()
+        ]
         # Children in the same insertion order the stateless evaluator
         # (and PriorityIndex) build: iterate tasks, append to each parent.
         for task in job.tasks.values():
@@ -310,6 +323,7 @@ class ArrayCore:
         self._live_deps = ext(self._live_deps, 0)
         self._preempt_count = ext(self._preempt_count, 0)
         self._banned = ext(self._banned, False)
+        self._demand = np.concatenate([self._demand, np.zeros((grown, 4))])
         self._child_rows.extend([] for _ in range(grown))
         self._height.extend([0] * grown)
         self._cap = new_cap
@@ -435,8 +449,8 @@ class ArrayCore:
     def add_node(self, node: "NodeRuntime") -> None:
         """Assign a position to a newly-joined node, reusing the most
         recently freed slot when one exists (LIFO, like DenseIds)."""
-        if self._node_free:
-            pos = self._node_free.pop()
+        if self._free_positions:
+            pos = self._free_positions.pop()
             self._node_list[pos] = node
         else:
             pos = len(self._node_list)
@@ -451,7 +465,7 @@ class ArrayCore:
         stay benign until the slot is reused."""
         pos = self._node_pos.pop(node_id)
         self._node_list[pos] = None
-        self._node_free.append(pos)
+        self._free_positions.append(pos)
         self._version += 1
 
     def reset_nodes(self) -> None:
@@ -463,7 +477,7 @@ class ArrayCore:
         self._node_pos = {nid: i for i, nid in enumerate(state.nodes)}
         self._node_list = list(state.nodes.values())
         self._node_rate = np.zeros(len(self._node_list))
-        self._node_free = []
+        self._free_positions = []
         self._version += 1
 
     @property
@@ -628,18 +642,13 @@ class ArrayCore:
         self._levels_dirty = False
 
     # --------------------------------------------------- epoch-loop scans
-    def dispatch_candidates(
-        self, node: "NodeRuntime", now: float, dependency_aware: bool
-    ) -> list[str]:
-        """Queued tasks on *node* that pass the dispatcher's state checks
-        (runnable; or, dependency-unaware, unbanned with a passed planned
-        start), in queue order — ``(planned_start, task_id)`` ascending,
-        the exact ``NodeRuntime`` bisect order.  The per-task retry gate
-        and capacity check stay with the caller (they read live object
-        state that changes mid-loop)."""
-        n = self._ids.capacity
-        pos = self._node_pos[node.node_id]
-        mask = (self._state[:n] == _QUEUED) & (self._node[:n] == pos)
+    def _dispatchable(
+        self, n: int, now: float, dependency_aware: bool
+    ) -> np.ndarray:
+        """Mask over the first *n* rows of queued tasks that pass the
+        dispatcher's state checks: runnable; or, dependency-unaware,
+        unbanned with a passed planned start."""
+        mask = self._state[:n] == _QUEUED
         if dependency_aware:
             mask &= self._unfinished[:n] == 0
         else:
@@ -647,15 +656,72 @@ class ArrayCore:
             mask &= (self._unfinished[:n] == 0) | (
                 ~self._banned[:n] & (gate >= self._planned[:n])
             )
-        rows = np.nonzero(mask)[0]
-        if not len(rows):
-            return []
+        return mask
+
+    def _fits(self, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """Mask of the *rows* whose demand fits *free* (one free vector,
+        or one per row) in every dimension — ``ResourceVector.fits_within``
+        bit for bit: the same ``demand <= free + tol`` float ops."""
+        return (self._demand.take(rows, axis=0) <= free + _FIT_TOL).all(axis=1)
+
+    def _queue_order(self, rows: list[int]) -> list[str]:
+        """Task ids of *rows* in queue order — ``(planned_start,
+        task_id)`` ascending, the exact ``NodeRuntime`` bisect order."""
         planned = self._planned.take(rows).tolist()
         id_of = self._id_of
-        cand = sorted(
-            (planned[i], id_of[r]) for i, r in enumerate(rows.tolist())
-        )
-        return [tid for _, tid in cand]
+        return [tid for _, tid in sorted(zip(planned, [id_of[r] for r in rows]))]
+
+    def dispatch_candidates(
+        self, node: "NodeRuntime", now: float, dependency_aware: bool
+    ) -> list[str]:
+        """Queued tasks on *node* that pass the dispatcher's state checks
+        and fit its free capacity now, in queue order.  Free capacity
+        only shrinks while the caller starts them, so a task filtered out
+        here could not have started later in the same dispatch.  The
+        per-task retry gate and the live capacity check stay with the
+        caller."""
+        n = self._ids.capacity
+        mask = self._dispatchable(n, now, dependency_aware)
+        mask &= self._node[:n] == self._node_pos[node.node_id]
+        rows = np.flatnonzero(mask)
+        if not len(rows):
+            return []
+        rows = rows[self._fits(rows, np.asarray(node.free.as_tuple()))]
+        return self._queue_order(rows.tolist())
+
+    def sweep_candidates(
+        self, now: float, dependency_aware: bool
+    ) -> list[tuple["NodeRuntime", list[str]]]:
+        """:meth:`dispatch_candidates` for every node at once: one mask
+        over all columns, each row's demand held against the free
+        capacity of its own node.  Returns ``(node, candidates)`` for the
+        nodes with at least one candidate, in ``state.nodes`` order — the
+        order the all-node dispatch loop visits them.
+
+        Exact for a sweep that dispatches those nodes in turn: starting a
+        task shrinks only its own node's free capacity, and nothing a
+        start emits releases any, so every node's free vector at its turn
+        is the one read here."""
+        n = self._ids.capacity
+        rows = np.flatnonzero(self._dispatchable(n, now, dependency_aware))
+        if not len(rows):
+            return []
+        # Freed positions hold no node: nothing fits there.
+        free = np.array([
+            node.free.as_tuple() if node is not None else _NO_NODE
+            for node in self._node_list
+        ])
+        nodes = self._node.take(rows)
+        fit = self._fits(rows, free.take(nodes, axis=0))
+        by_pos: dict[int, list[int]] = {}
+        for row, pos in zip(rows[fit].tolist(), nodes[fit].tolist()):
+            by_pos.setdefault(pos, []).append(row)
+        node_pos = self._node_pos
+        return [
+            (node, self._queue_order(by_pos[node_pos[nid]]))
+            for nid, node in self._rt.state.nodes.items()
+            if node_pos[nid] in by_pos
+        ]
 
     def stall_timeout_candidates(
         self, now: float, timeout: float

@@ -106,8 +106,7 @@ class DispatchSubsystem:
             rt.bus.emit(
                 RoundTick(rt.now, len(batch), sum(len(j.tasks) for j in batch))
             )
-            for node in state.nodes.values():
-                self.dispatch(node)
+            self.dispatch_all()
             rt.preemption.ensure_tick()
         # Next round while any job is still to arrive or be planned.
         if len(state.arrived) < len(state.jobs) or state.unscheduled:
@@ -123,12 +122,32 @@ class DispatchSubsystem:
         (used by bus subscribers that free capacity mid-completion)."""
         self._wakes.add(node_id)
 
-    def dispatch(self, node: NodeRuntime) -> None:
+    def dispatch_all(self) -> None:
+        """Dispatch every node, in ``state.nodes`` order.
+
+        With the array core on, one sweep mask picks each node's
+        candidates up front and only nodes with a candidate are visited
+        (see :meth:`ArrayCore.sweep_candidates` for why that is exact)."""
+        rt = self._rt
+        if rt.array is None:
+            for node in rt.state.nodes.values():
+                self.dispatch(node)
+            return
+        for node, candidates in rt.array.sweep_candidates(
+            rt.now, rt.dependency_aware
+        ):
+            self.dispatch(node, candidates)
+
+    def dispatch(
+        self, node: NodeRuntime, candidates: list[str] | None = None
+    ) -> None:
         """Start queued tasks that fit, in planned-start order.
 
         Dependency-aware runs start only runnable tasks; unaware runs also
         start tasks whose planned start has passed (stalling them when
-        parents are unfinished — a disorder)."""
+        parents are unfinished — a disorder).  *candidates* is this
+        node's share of a :meth:`dispatch_all` sweep; without it the
+        array core computes the node's own."""
         rt = self._rt
         if not node.available or node.queue_length == 0:
             return
@@ -138,12 +157,15 @@ class DispatchSubsystem:
         if rt.array is not None:
             # Vectorized candidate scan over the array mirror: same
             # predicates, same (planned_start, task_id) order as the
-            # queue walk below.  The retry gate and the capacity check
-            # stay per-candidate — they read live state that changes as
-            # earlier candidates start.
-            for tid in rt.array.dispatch_candidates(
-                node, now, rt.dependency_aware
-            ):
+            # queue walk below, already filtered by the node's free
+            # capacity.  The retry gate stays per-candidate (it is not
+            # mirrored), and so does the live fit check: each start
+            # shrinks the free capacity the later candidates need.
+            if candidates is None:
+                candidates = rt.array.dispatch_candidates(
+                    node, now, rt.dependency_aware
+                )
+            for tid in candidates:
                 task = rt.state.tasks[tid]
                 if now + EPS < task.retry_not_before:
                     continue  # retry still serving its backoff

@@ -73,8 +73,7 @@ class PreemptionExecutor:
                 for decision in decisions:
                     self.apply(decision, node)
             self._visit = []
-        for node in state.nodes.values():
-            rt.dispatch.dispatch(node)
+        rt.dispatch.dispatch_all()
         self._check_progress()
         self.ensure_tick()
 
