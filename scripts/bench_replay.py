@@ -24,7 +24,8 @@ smaller replay and ``scripts/bench_guard.py --rss-ceiling`` fails the
 build if the recorded peak ever grows past the ceiling.
 
 The measurement body is the fabric runner ``replay_bench``
-(:mod:`repro.sweep.runners`); this script submits one spec through
+(:mod:`repro.sweep.runners`, which also sets the sampling-only
+watchdog ceiling); this script submits one spec through
 :func:`repro.sweep.run_grid`, so with ``--store`` a repeat invocation
 on unchanged code is a cache hit (useful when iterating on the guard,
 not the bench).
@@ -42,55 +43,9 @@ import argparse
 import json
 import pathlib
 import sys
-import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
-
-#: Watchdog ceiling used purely for peak-RSS *sampling* — far above any
-#: plausible footprint so the degradation ladder never engages and the
-#: run stays a pure function of (source, config).
-MEASURE_CEILING_MB = 16384
-
-
-def measure(jobs: int, max_live_tasks: int, seed: int) -> dict:
-    """Run one bounded-memory replay and return the bench record."""
-    from repro.cli import main as cli_main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        stats_path = pathlib.Path(tmp) / "stats.json"
-        rc = cli_main(
-            [
-                "replay",
-                "--synthetic", str(jobs),
-                "--seed", str(seed),
-                "--max-live-tasks", str(max_live_tasks),
-                "--rss-ceiling-mb", str(MEASURE_CEILING_MB),
-                "--journal", str(pathlib.Path(tmp) / "run.journal"),
-                "--snapshot-dir", str(pathlib.Path(tmp) / "snaps"),
-                "--stats-out", str(stats_path),
-            ]
-        )
-        if rc != 0:
-            raise RuntimeError(f"replay exited {rc}")
-        stats = json.loads(stats_path.read_text())
-
-    tasks = int(stats["frontier"]["admitted_tasks"])
-    peak = int(stats["peak_rss_bytes"])
-    out = {
-        "jobs": jobs,
-        "tasks": tasks,
-        "seed": seed,
-        "wall_seconds": stats["wall_seconds"],
-        "tasks_per_s": stats["wall_tasks_per_s"],
-        "peak_rss_bytes": peak,
-        "peak_rss_mb": round(peak / (1024.0 * 1024.0), 1),
-        "max_live_tasks": max_live_tasks,
-        "frontier": stats["frontier"],
-    }
-    if "skips" in stats:
-        out["skips"] = stats["skips"]
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,7 +23,8 @@ Built-ins:
     Re-execute one seeded soak case (any mode) by ``(mode, base_seed,
     index)`` — the target of ``repro sweep --only`` on soak artifacts.
 ``replay_bench``
-    The ``scripts/bench_replay.py`` measurement body.
+    One bounded-memory ``repro replay --synthetic`` run → the
+    ``BENCH_replay.json`` record (driven by ``scripts/bench_replay.py``).
 """
 
 from __future__ import annotations
@@ -295,26 +296,60 @@ def run_soak(params: dict[str, Any], stats_path: str | None = None) -> Any:
     return run_soak_params(params)
 
 
+#: Watchdog ceiling the ``replay_bench`` runner sets purely for peak-RSS
+#: *sampling* — far above any plausible footprint so the degradation
+#: ladder never engages and the run stays a pure function of (source,
+#: config).
+MEASURE_CEILING_MB = 16384
+
+
 @register_runner("replay_bench")
 def run_replay_bench(
     params: dict[str, Any], stats_path: str | None = None
 ) -> dict[str, Any]:
-    """The bounded-memory replay measurement (see scripts/bench_replay.py)."""
-    import importlib.util
+    """The bounded-memory replay measurement behind
+    ``scripts/bench_replay.py``: one ``repro replay --synthetic`` run
+    through the real CLI path, returned as the bench record."""
+    import json
     import pathlib
+    import tempfile
 
-    script = (
-        pathlib.Path(__file__).resolve().parents[3]
-        / "scripts"
-        / "bench_replay.py"
-    )
-    spec = importlib.util.spec_from_file_location("repro_bench_replay", script)
-    if spec is None or spec.loader is None:  # pragma: no cover
-        raise RuntimeError(f"cannot load bench_replay from {script}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.measure(
-        jobs=int(params.get("jobs", 1800)),
-        max_live_tasks=int(params.get("max_live_tasks", 20000)),
-        seed=int(params.get("seed", 0)),
-    )
+    from ..cli import main as cli_main
+
+    jobs = int(params.get("jobs", 1800))
+    max_live_tasks = int(params.get("max_live_tasks", 20000))
+    seed = int(params.get("seed", 0))
+    with tempfile.TemporaryDirectory() as tmp:
+        stats_file = pathlib.Path(tmp) / "stats.json"
+        rc = cli_main(
+            [
+                "replay",
+                "--synthetic", str(jobs),
+                "--seed", str(seed),
+                "--max-live-tasks", str(max_live_tasks),
+                "--rss-ceiling-mb", str(MEASURE_CEILING_MB),
+                "--journal", str(pathlib.Path(tmp) / "run.journal"),
+                "--snapshot-dir", str(pathlib.Path(tmp) / "snaps"),
+                "--stats-out", str(stats_file),
+            ]
+        )
+        if rc != 0:
+            raise RuntimeError(f"replay exited {rc}")
+        stats = json.loads(stats_file.read_text())
+
+    tasks = int(stats["frontier"]["admitted_tasks"])
+    peak = int(stats["peak_rss_bytes"])
+    out = {
+        "jobs": jobs,
+        "tasks": tasks,
+        "seed": seed,
+        "wall_seconds": stats["wall_seconds"],
+        "tasks_per_s": stats["wall_tasks_per_s"],
+        "peak_rss_bytes": peak,
+        "peak_rss_mb": round(peak / (1024.0 * 1024.0), 1),
+        "max_live_tasks": max_live_tasks,
+        "frontier": stats["frontier"],
+    }
+    if "skips" in stats:
+        out["skips"] = stats["skips"]
+    return out
